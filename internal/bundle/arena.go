@@ -8,7 +8,9 @@ import "repro/internal/tokens"
 // them out of chunked slabs turns one heap allocation per object into one
 // per chunk. Slabs are owned by the single-writer index goroutine and are
 // never freed individually — retired objects keep their chunk alive until
-// the whole chunk ages out with the window, which is bounded by design.
+// the whole chunk ages out with the window. That bound holds only because
+// nothing else keeps a retired bundle reachable: Index.retire empties it
+// and Index.sweepPosts drops the posting entries no probe compacts.
 type alloc struct {
 	members []Member
 	bundles []Bundle

@@ -44,11 +44,32 @@ type Member struct {
 // Core ⊆ member.Rec.Tokens for every member; member.Delta = member tokens
 // minus Core; Union ⊇ member tokens for every member (Union may be a strict
 // superset after evictions, which is safe because it is only used as an
-// upper bound).
+// upper bound); a bundle with one live member has Union equal to that
+// member's tokens, so the singleton verify path reads Union in place of
+// the member. Both packed forms of that set are built under the same
+// kernel config, so unionOK equals the member's fullOK unless adaptive
+// tuning moved the bitset cutoff in between (which changes only the
+// kernel picked, never an overlap).
+//
+// Field order is layout: the fields collectCandidates reads for every
+// posting (ID, live, lastSeen, minLen, maxLen) share the first cache line
+// with Union, and the flags are packed at the end so the struct stays at
+// 256 bytes — the slab arena keeps a retired bundle alive until its whole
+// chunk has retired, so every added word shows up in the live heap.
 type Bundle struct {
-	ID      uint64
-	Core    []tokens.Rank
+	ID   uint64
+	live int
+	// lastSeen is the probe sequence number of the last collectCandidates
+	// call that visited this bundle — the per-probe dedup stamp that
+	// replaced the old seen map (an epoch check beats a map insert per
+	// candidate posting).
+	lastSeen uint64
+	// minLen and maxLen are the live member length extremes (0 when the
+	// bundle is empty): add widens them, removeDead recomputes them.
+	minLen, maxLen int32
+
 	Union   []tokens.Rank
+	Core    []tokens.Rank
 	Members []*Member
 
 	// posted tracks the tokens this bundle already has postings under so
@@ -58,20 +79,13 @@ type Bundle struct {
 	posted []tokens.Rank
 	// peak tracks the max member count since the last shrink rebuild.
 	peak int
-	live int
-
-	// lastSeen is the probe sequence number of the last collectCandidates
-	// call that visited this bundle — the per-probe dedup stamp that
-	// replaced the old seen map (an epoch check beats a map insert per
-	// candidate posting).
-	lastSeen uint64
 
 	// Cached bitset forms of Core and Union plus their validity flags,
 	// rebuilt by the single-writer insert/evict phases whenever the
 	// underlying slice changes (see kernels.go).
 	coreP   similarity.Packed
-	coreOK  bool
 	unionP  similarity.Packed
+	coreOK  bool
 	unionOK bool
 	// unionOwned reports whether Union's backing array belongs to this
 	// bundle. A singleton aliases its record's immutable token slice, so
@@ -93,29 +107,10 @@ func (b *Bundle) Live() int { return b.live }
 
 // MinLen and MaxLen return the live member length extremes; both return 0
 // when the bundle is empty.
-func (b *Bundle) MinLen() int {
-	min := 0
-	for _, m := range b.Members {
-		if m.dead {
-			continue
-		}
-		if min == 0 || m.Rec.Len() < min {
-			min = m.Rec.Len()
-		}
-	}
-	return min
-}
+func (b *Bundle) MinLen() int { return int(b.minLen) }
 
 // MaxLen returns the largest live member length.
-func (b *Bundle) MaxLen() int {
-	max := 0
-	for _, m := range b.Members {
-		if !m.dead && m.Rec.Len() > max {
-			max = m.Rec.Len()
-		}
-	}
-	return max
-}
+func (b *Bundle) MaxLen() int { return int(b.maxLen) }
 
 // intersect returns a ∩ b (both ascending).
 func intersect(a, b []tokens.Rank) []tokens.Rank {
@@ -299,6 +294,10 @@ func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, 
 		m.Rec = r
 		b.Members = append(b.Members, m)
 		packIf(kern, &m.full, &m.fullOK, r.Tokens)
+		// The singleton verify path reads Union, so pack it exactly like
+		// the member's full form: same set, same kernel choice.
+		packIf(kern, &b.unionP, &b.unionOK, b.Union)
+		b.minLen, b.maxLen = int32(r.Len()), int32(r.Len())
 	} else {
 		if len(newCore) != len(b.Core) {
 			released := similarity.GetRanks()
@@ -324,12 +323,17 @@ func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, 
 		b.Members = append(b.Members, m)
 		packIf(kern, &m.full, &m.fullOK, r.Tokens)
 		packIf(kern, &m.deltaP, &m.deltaOK, m.Delta)
-		// Core and Union now serve the shared-verification identity (the
-		// singleton fast path never consults them), so (re)pack both: the
+		// Core now serves the shared-verification identity (the singleton
+		// fast path never consults it), so (re)pack it with the union: the
 		// union always grew, and the core cache may predate this member or
 		// the shrink above.
 		packIf(kern, &b.coreP, &b.coreOK, b.Core)
 		packIf(kern, &b.unionP, &b.unionOK, b.Union)
+		if l := int32(r.Len()); l < b.minLen {
+			b.minLen = l
+		} else if l > b.maxLen {
+			b.maxLen = l
+		}
 	}
 	b.live++
 	if b.live > b.peak {
@@ -345,18 +349,30 @@ func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, 
 	return newPostings
 }
 
-// removeDead drops dead members and, when the bundle has shrunk to half its
-// peak, rebuilds Union from the survivors (refreshing its cached bitset
-// form under kern).
+// removeDead drops dead members, recomputes the live length extremes and,
+// when the bundle has shrunk to half its peak, rebuilds Union from the
+// survivors (refreshing its cached bitset form under kern). A bundle that
+// drops to one member always rebuilds — peak is at least the two members
+// it had — so a singleton's Union is exactly its member's tokens.
 func (b *Bundle) removeDead(kern similarity.KernelConfig) {
 	w := 0
+	var lo, hi int32
 	for _, m := range b.Members {
 		if !m.dead {
 			b.Members[w] = m
 			w++
+			l := int32(m.Rec.Len())
+			if lo == 0 || l < lo {
+				lo = l
+			}
+			if l > hi {
+				hi = l
+			}
 		}
 	}
+	clear(b.Members[w:])
 	b.Members = b.Members[:w]
+	b.minLen, b.maxLen = lo, hi
 	if b.live == 0 || w == 0 {
 		return
 	}
@@ -370,6 +386,15 @@ func (b *Bundle) removeDead(kern similarity.KernelConfig) {
 		b.peak = w
 		packIf(kern, &b.unionP, &b.unionOK, b.Union)
 	}
+}
+
+// release drops the token sets, member list and packed forms of a bundle
+// whose last member has been evicted. Nothing reads them again: probes
+// skip a bundle with no live members and no insertion targets one.
+func (b *Bundle) release() {
+	b.Core, b.Union, b.Members, b.posted = nil, nil, nil, nil
+	b.coreP, b.unionP = similarity.Packed{}, similarity.Packed{}
+	b.coreOK, b.unionOK, b.unionOwned = false, false, false
 }
 
 func min(a, b int) int {

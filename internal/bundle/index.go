@@ -69,7 +69,7 @@ type Stats struct {
 	Postings       uint64 // live posting entries
 	Scanned        uint64 // bundle postings visited
 	BundleCands    uint64 // distinct candidate bundles per probe, summed
-	BundleLenSkip  uint64 // bundles skipped entirely by the length range
+	BundleLenSkip  uint64 // candidate bundles dropped by the length range in the posting scan
 	BundleUBSkip   uint64 // bundles skipped entirely by the union bound
 	MemberChecks   uint64 // member upper-bound evaluations
 	MemberUBSkip   uint64 // members skipped by the min(unionO, |y|) bound
@@ -86,7 +86,7 @@ type Stats struct {
 	CoreOverlaps   uint64 // distinct core-overlap computations
 	SingletonFast  uint64 // singleton bundles verified directly
 	RebuildSweeps  uint64 // posting sweeps triggered
-	DeadPostSkips  uint64 // dead bundle postings compacted
+	DeadPostSkips  uint64 // dead bundle postings compacted (by probes or sweeps)
 	GroupRejectLen uint64 // memberships rejected by MaxMembers/MinCoreFrac
 
 	KernelLinear    uint64 // verification merges run by the linear kernel
@@ -124,6 +124,10 @@ type Index struct {
 	fifo   []fifoEntry
 	head   int
 	nextID uint64
+	// deadPosts counts posting entries whose bundle has died and that no
+	// compaction has dropped yet; Evict sweeps every list once they
+	// outnumber the live entries (see sweepPosts).
+	deadPosts uint64
 
 	stats Stats
 	live  *LiveStats // optional atomic mirror, see PublishLive
@@ -297,9 +301,15 @@ func (bx *Index) Evict(nowSeq record.ID, nowTime int64) {
 			bx.treeRemove(fe.m, rec.Tokens[:p])
 		}
 		fe.b.removeDead(bx.cfg.Kernel)
+		if fe.b.live == 0 {
+			bx.retire(fe.b)
+		}
 		bx.fifo[bx.head] = fifoEntry{}
 		bx.head++
 		bx.stats.Evicted++
+	}
+	if bx.deadPosts >= sweepMinDead && 2*bx.deadPosts > bx.stats.Postings {
+		bx.sweepPosts()
 	}
 	if bx.head > 64 && bx.head*2 > len(bx.fifo) {
 		bx.fifo = append(bx.fifo[:0], bx.fifo[bx.head:]...)
@@ -362,7 +372,10 @@ func (bx *Index) emitCanonical(emit func(Match)) {
 // biggest items first. The order is a deterministic function of index
 // state (list length, then prefix position), so parallel and serial runs
 // still see identical candidate sequences. Dedup is an epoch stamp on the
-// bundle (lastSeen vs probeSeq) instead of a per-probe map. This is the
+// bundle (lastSeen vs probeSeq) instead of a per-probe map. The bundle
+// length filter runs here too, on the fields the dedup stamp just loaded,
+// so a bundle whose live lengths miss r's range never reaches
+// probeBundle — the common case on long texts. This is the
 // single-writer half of the probe path: every posting-list mutation and
 // the probe's packed form happen here, before verification starts, so the
 // verify phase that follows — serial in Probe, fanned out in ProbePar —
@@ -376,6 +389,7 @@ func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 	bx.probeSeq++
 	packIf(bx.cfg.Kernel, &bx.probeP, &bx.probeOK, r.Tokens)
 	p := bx.params.PrefixLen(r.Len())
+	lo, hi := bx.params.LengthBounds(r.Len())
 	walk := bx.walk[:0]
 	for i := 0; i < p; i++ {
 		list, have := bx.posts[r.Tokens[i]]
@@ -402,6 +416,7 @@ func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 			if b.live == 0 {
 				bx.stats.DeadPostSkips++
 				bx.stats.Postings--
+				bx.deadPosts--
 				continue // compact dead bundle posting
 			}
 			list[w] = b
@@ -412,16 +427,71 @@ func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 			}
 			b.lastSeen = bx.probeSeq
 			bx.stats.BundleCands++
+			if int(b.maxLen) < lo || int(b.minLen) > hi {
+				bx.stats.BundleLenSkip++
+				continue
+			}
 			cands = append(cands, b)
 		}
 		if w == 0 {
 			delete(bx.posts, tok)
 		} else if w != len(list) {
+			clear(list[w:])
 			bx.posts[tok] = list[:w]
 		}
 	}
 	bx.cands = cands
 	return cands
+}
+
+// sweepMinDead is the dead posting count below which Evict never sweeps,
+// so a small index does not rescan its lists every few evictions.
+const sweepMinDead = 1024
+
+// retire accounts for a bundle whose last member just left the window:
+// its posting entries are dead from now on, and it lets go of everything
+// it points at, since a dead posting or a live neighbour in its slab
+// chunk can keep the Bundle itself reachable for a while.
+func (bx *Index) retire(b *Bundle) {
+	if bx.cfg.VerifyMode != VerifyTree {
+		bx.deadPosts += uint64(len(b.posted))
+	}
+	b.release()
+}
+
+// sweepPosts drops every dead entry from every posting list.
+// collectCandidates compacts only the lists a probe walks, so without
+// the sweep a token that never shows up in a probe prefix again — the
+// long tail of the vocabulary, or every token while auto mode probes
+// through the tree — would pin its dead bundles, and through them their
+// slab chunks, for the life of the index: the live heap would grow with
+// the stream instead of with the window. Evict sweeps once dead entries
+// outnumber live ones, so each sweep is paid for by the bundle deaths
+// since the last one and the lists stay within twice their live size.
+// Compaction keeps list order, so probes see the same candidates.
+func (bx *Index) sweepPosts() {
+	for tok, list := range bx.posts {
+		w := 0
+		for _, b := range list {
+			if b.live != 0 {
+				list[w] = b
+				w++
+			}
+		}
+		if w == len(list) {
+			continue
+		}
+		dropped := uint64(len(list) - w)
+		bx.stats.DeadPostSkips += dropped
+		bx.stats.Postings -= dropped
+		if w == 0 {
+			delete(bx.posts, tok)
+		} else {
+			clear(list[w:])
+			bx.posts[tok] = list[:w]
+		}
+	}
+	bx.deadPosts = 0
 }
 
 // Insertion names the bundle an incoming record should join. At is the
@@ -443,9 +513,11 @@ func betterIns(a, b Insertion) bool {
 }
 
 // probeBundle filters and verifies r against one candidate bundle, emitting
-// matches and returning the best-match insertion hint. Work counters go to
-// st — &bx.stats on the serial path, a per-goroutine VerifyCtx on the pool
-// path — so concurrent verifiers never share a counter cache line.
+// matches and returning the best-match insertion hint. b must come from
+// collectCandidates, which already dropped every bundle whose live length
+// range misses r's. Work counters go to st — &bx.stats on the serial path,
+// a per-goroutine VerifyCtx on the pool path — so concurrent verifiers
+// never share a counter cache line.
 //
 // parcheck: runs on the verifier pool. It must only read the index (params,
 // cfg, postings, bundles): any index mutation belongs in collectCandidates
@@ -456,36 +528,24 @@ func betterIns(a, b Insertion) bool {
 // are emitted as value structs through the emit callback.
 func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(Match)) (Insertion, bool) {
 	la := r.Len()
-	// Bundle-level length range check.
 	lo, hi := bx.params.LengthBounds(la)
-	bmin, bmax := b.MinLen(), b.MaxLen()
-	if bmax < lo || bmin > hi {
-		st.BundleLenSkip++
-		return Insertion{}, false
-	}
-	reqMin := bx.minRequired(la, bmin, bmax, lo, hi)
+	bmin, bmax := int(b.minLen), int(b.maxLen)
+	reqMin := bx.minRequired(la, bmin, lo)
 
 	// Singleton fast path: the union is the member, so a single
-	// early-terminating merge both filters and verifies.
+	// early-terminating merge both filters and verifies, and the member
+	// itself is read only for a match.
 	if b.live == 1 {
-		m := firstLive(b)
-		if m == nil {
-			return Insertion{}, false
-		}
-		lb := m.Rec.Len()
-		if lb < lo || lb > hi {
-			return Insertion{}, false
-		}
 		st.MemberChecks++
-		req := bx.params.RequiredOverlap(la, lb)
-		o, steps, ok := bx.overlapKernelBounded(st, r.Tokens, &bx.probeP, bx.probeOK, m.Rec.Tokens, &m.full, m.fullOK, req)
+		o, steps, ok := bx.overlapKernelBounded(st, r.Tokens, &bx.probeP, bx.probeOK, b.Union, &b.unionP, b.unionOK, reqMin)
 		st.SingletonFast++
 		st.VerifySteps += uint64(steps)
 		st.Verified++
 		if !ok {
 			return Insertion{}, false
 		}
-		sim := similarity.FromOverlap(bx.params.Func, o, la, lb)
+		m := b.Members[0]
+		sim := similarity.FromOverlap(bx.params.Func, o, la, bmin)
 		st.Results++
 		emit(Match{Rec: m.Rec, Overlap: o, Sim: sim})
 		return Insertion{Bundle: b, Sim: sim, At: m.Rec.ID}, true
@@ -597,12 +657,12 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 
 // mergeVerify folds the verify-phase counters a VerifyCtx accumulated into
 // s. Only the counters probeBundle writes are listed: everything else in
-// Stats belongs to the single-writer collect/insert/evict path and never
-// appears in a per-goroutine context. All listed counters are commutative
-// sums, so the fold order across contexts cannot change the totals — a
-// parallel run reports exactly the sequential numbers.
+// Stats — BundleLenSkip included, since the length filter runs in the
+// posting scan — belongs to the single-writer collect/insert/evict path
+// and never appears in a per-goroutine context. All listed counters are
+// commutative sums, so the fold order across contexts cannot change the
+// totals — a parallel run reports exactly the sequential numbers.
 func (s *Stats) mergeVerify(o *Stats) {
-	s.BundleLenSkip += o.BundleLenSkip
 	s.BundleUBSkip += o.BundleUBSkip
 	s.MemberChecks += o.MemberChecks
 	s.MemberUBSkip += o.MemberUBSkip
@@ -640,21 +700,11 @@ func (bx *Index) Dump(visit func(*record.Record) bool) {
 	}
 }
 
-// firstLive returns the first live member (nil when none).
-func firstLive(b *Bundle) *Member {
-	for _, m := range b.Members {
-		if !m.dead {
-			return m
-		}
-	}
-	return nil
-}
-
-// minRequired returns the smallest required overlap over member lengths in
-// [max(bmin,lo), min(bmax,hi)]. For all supported functions the required
+// minRequired returns the smallest required overlap over member lengths
+// of at least max(bmin, lo). For all supported functions the required
 // overlap is nondecreasing in partner length, so the minimum is at the
 // smallest compatible length.
-func (bx *Index) minRequired(la, bmin, bmax, lo, hi int) int {
+func (bx *Index) minRequired(la, bmin, lo int) int {
 	l := bmin
 	if lo > l {
 		l = lo

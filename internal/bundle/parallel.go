@@ -7,18 +7,19 @@
 //
 // The determinism argument rests on the phase split collectCandidates
 // introduced: collect/expand (single-writer, mutates postings or walks
-// the root) → verify (read-only, fanned out) → merge (single-writer,
-// canonical order) → insert (single-writer). During the verify phase no
-// goroutine writes the index or the tree, so verifiers need no locks and
-// no snapshots; each works out of its own VerifyCtx (stats + match arena
-// + tree walk), and the WaitGroup barrier plus the job channel sends
-// give the happens-before edges that make the whole exchange
-// race-detector clean. Matches land in per-context arenas tagged with
-// (context, offset, count) per work unit; the merge gathers every range
-// into the probe buffer and flushes it canonically sorted — the same
-// order the sequential paths produce. The best-insertion pick applies
-// the canonical (max similarity, min partner ID) rule, a pure function
-// of the match set, so grouping decisions (and therefore index
+// the root; the bundle length filter and its counter live here, so only
+// length-compatible bundles are fanned out) → verify (read-only, fanned
+// out) → merge (single-writer, canonical order) → insert (single-writer).
+// During the verify phase no goroutine writes the index or the tree, so
+// verifiers need no locks and no snapshots; each works out of its own
+// VerifyCtx (stats + match arena + tree walk), and the WaitGroup barrier
+// plus the job channel sends give the happens-before edges that make the
+// whole exchange race-detector clean. Matches land in per-context arenas
+// tagged with (context, offset, count) per work unit; the merge gathers
+// every range into the probe buffer and flushes it canonically sorted —
+// the same order the sequential paths produce. The best-insertion pick
+// applies the canonical (max similarity, min partner ID) rule, a pure
+// function of the match set, so grouping decisions (and therefore index
 // evolution) are identical too.
 package bundle
 
