@@ -5,6 +5,7 @@ package record
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/tokens"
 )
@@ -52,15 +53,19 @@ func (r *Record) Overlap(s *Record) int {
 	return o
 }
 
-// Builder converts raw text into Records: tokenize, intern, observe
-// frequencies, map to ranks, dedup, and stamp with the next ID. A Builder
-// owns its dictionary and ordering; it is not safe for concurrent use.
+// Builder converts raw text into Records: tokenize, intern, map to ranks,
+// dedup, observe frequencies, and stamp with the next ID. A Builder owns its
+// dictionary and ordering; it is not safe for concurrent use.
 type Builder struct {
 	Dict     *tokens.Dictionary
 	Order    *tokens.Ordering
 	Tok      tokens.Tokenizer
 	nextID   ID
 	nextTime int64
+	// Scratch reused across FromText calls: the words of the current text
+	// and their rank<<32|token keys.
+	words []string
+	keys  []uint64
 }
 
 // NewBuilder returns a Builder over an already-frozen ordering. Use
@@ -74,18 +79,18 @@ func NewBuilder(dict *tokens.Dictionary, order *tokens.Ordering, tok tokens.Toke
 // step: streams built afterwards map unseen tokens to post-frozen ranks.
 func BuildOrderingFromSample(tok tokens.Tokenizer, sample []string) (*tokens.Dictionary, *tokens.Ordering) {
 	dict := tokens.NewDictionary()
+	var words []string
+	var ids []tokens.Token
 	for _, text := range sample {
-		seen := make(map[tokens.Token]struct{})
-		var set []tokens.Token
-		for _, w := range tok.Tokenize(text) {
-			id := dict.Intern(w)
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
-			set = append(set, id)
+		words = tok.Tokenize(words[:0], text)
+		ids = ids[:0]
+		for _, w := range words {
+			ids = append(ids, dict.Intern(w))
 		}
-		dict.Observe(set)
+		slices.Sort(ids)
+		for _, id := range slices.Compact(ids) {
+			dict.Observe(id)
+		}
 	}
 	return dict, tokens.NewOrdering(dict)
 }
@@ -102,25 +107,28 @@ func (b *Builder) SetCursor(nextID ID, nextTime int64) {
 // frequencies in the dictionary as it goes (the frozen ordering is
 // unaffected until an explicit refresh rebuilds it from the accumulated
 // counts). Empty token sets yield a record with zero length; callers
-// typically drop those.
+// typically drop those. The record's rank slice is the only allocation
+// besides the dictionary's copy of each word it interns first.
 func (b *Builder) FromText(text string) Record {
-	words := b.Tok.Tokenize(text)
-	ids := make([]tokens.Token, 0, len(words))
-	seen := make(map[tokens.Token]struct{}, len(words))
-	for _, w := range words {
+	b.words = b.Tok.Tokenize(b.words[:0], text)
+	keys := b.keys[:0]
+	for _, w := range b.words {
+		// Interning and ranking in word order assigns new tokens and
+		// post-frozen ranks in first-appearance order.
 		id := b.Dict.Intern(w)
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		ids = append(ids, id)
+		keys = append(keys, uint64(b.Order.RankOf(id))<<32|uint64(id))
 	}
-	b.Dict.Observe(ids)
-	ranks := make([]tokens.Rank, 0, len(ids))
-	for _, id := range ids {
-		ranks = append(ranks, b.Order.RankOf(id))
+	clear(b.words) // do not pin text until the next call
+	// Ranks and tokens correspond one to one, so equal keys are exactly
+	// repeated tokens and the sorted keys are the record's ascending ranks.
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	ranks := make([]tokens.Rank, len(keys))
+	for i, k := range keys {
+		b.Dict.Observe(tokens.Token(k))
+		ranks[i] = tokens.Rank(k >> 32)
 	}
-	ranks = tokens.Dedup(ranks)
+	b.keys = keys
 	r := Record{ID: b.nextID, Time: b.nextTime, Tokens: ranks}
 	b.nextID++
 	b.nextTime++

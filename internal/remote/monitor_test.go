@@ -32,7 +32,15 @@ func TestMonitorCountsSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The worker goroutine counts the session as finished after the
+	// coordinator has already returned, so wait for that before asserting.
 	snap := mon.Snapshot()
+	for deadline := time.Now().Add(10 * time.Second); snap["sessions_finished"]+snap["sessions_failed"] != snap["sessions_started"]; snap = mon.Snapshot() {
+		if time.Now().After(deadline) {
+			t.Fatalf("session never ended: %v", snap)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if snap["sessions_started"] != 1 || snap["sessions_finished"] != 1 || snap["sessions_failed"] != 0 {
 		t.Fatalf("session counters: %v", snap)
 	}

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is an interned token identifier. Identifiers are dense and start at
@@ -38,11 +39,17 @@ func NewDictionary() *Dictionary {
 }
 
 // Intern returns the Token for word, creating it with zero frequency when
-// unseen.
+// unseen. A new word is copied, so the dictionary never retains the text
+// word was sliced from.
 func (d *Dictionary) Intern(word string) Token {
 	if id, ok := d.ids[word]; ok {
 		return id
 	}
+	return d.add(strings.Clone(word))
+}
+
+// add appends word, which the dictionary then owns, under the next id.
+func (d *Dictionary) add(word string) Token {
 	id := Token(len(d.words))
 	d.ids[word] = id
 	d.words = append(d.words, word)
@@ -65,15 +72,11 @@ func (d *Dictionary) Word(id Token) string {
 // Size reports the number of distinct tokens interned so far.
 func (d *Dictionary) Size() int { return len(d.words) }
 
-// Observe records one document-frequency observation for each distinct token
-// in set. Call it once per record with the record's deduplicated tokens.
-func (d *Dictionary) Observe(set []Token) {
-	for _, t := range set {
-		d.freq[t]++
-	}
-}
+// Observe records one document-frequency observation for id. Call it once
+// per distinct token of each record.
+func (d *Dictionary) Observe(id Token) { d.freq[id]++ }
 
-// Frequency returns the number of Observe calls that included id.
+// Frequency returns the number of Observe calls for id.
 func (d *Dictionary) Frequency(id Token) uint64 { return d.freq[id] }
 
 // Ordering maps tokens to ranks such that ascending rank means ascending
@@ -86,8 +89,10 @@ type Ordering struct {
 	dict   *Dictionary
 	rank   []Rank // indexed by Token; valid for tokens frozen at build time
 	frozen int    // number of tokens covered by rank
-	extra  map[Token]Rank
-	next   Rank
+	// extra holds post-frozen ranks, indexed by Token-frozen; each entry is
+	// rank+1, and 0 marks a token that has no rank yet.
+	extra []Rank
+	next  Rank
 }
 
 // NewOrdering freezes the current frequency statistics of dict into a global
@@ -113,7 +118,6 @@ func NewOrdering(dict *Dictionary) *Ordering {
 		dict:   dict,
 		rank:   rank,
 		frozen: n,
-		extra:  make(map[Token]Rank),
 		next:   Rank(n),
 	}
 }
@@ -124,34 +128,45 @@ func (o *Ordering) RankOf(id Token) Rank {
 	if int(id) < o.frozen {
 		return o.rank[id]
 	}
-	if r, ok := o.extra[id]; ok {
-		return r
+	e := o.extraOf(id)
+	if *e == 0 {
+		*e = o.next + 1
+		o.next++
 	}
-	r := o.next
-	o.next++
-	o.extra[id] = r
-	return r
+	return *e - 1
+}
+
+// extraOf returns the post-frozen cell of id, growing the table to reach it.
+func (o *Ordering) extraOf(id Token) *Rank {
+	i := int(id) - o.frozen
+	if i >= len(o.extra) {
+		o.extra = append(o.extra, make([]Rank, i+1-len(o.extra))...)
+	}
+	return &o.extra[i]
 }
 
 // Universe reports the number of ranks assigned so far.
 func (o *Ordering) Universe() int { return int(o.next) }
 
-// DumpRanks visits every (token, rank) assignment made so far — the frozen
-// table plus post-frozen extras. Ordering-refresh uses it to build the
-// inverse mapping when re-encoding stored records.
+// DumpRanks visits every (token, rank) assignment made so far in ascending
+// token order — the frozen table, then post-frozen extras. Ordering-refresh
+// uses it to build the inverse mapping when re-encoding stored records.
 func (o *Ordering) DumpRanks(visit func(Token, Rank)) {
 	for id := 0; id < o.frozen; id++ {
 		visit(Token(id), o.rank[id])
 	}
-	for id, r := range o.extra {
-		visit(id, r)
+	for i, e := range o.extra {
+		if e != 0 {
+			visit(Token(o.frozen+i), e-1)
+		}
 	}
 }
 
-// Tokenizer splits raw text into a token string slice. Implementations must
-// be deterministic; dedup happens downstream.
+// Tokenizer splits raw text into token strings, appending them to dst and
+// returning the extended slice. Implementations must be deterministic;
+// dedup happens downstream.
 type Tokenizer interface {
-	Tokenize(text string) []string
+	Tokenize(dst []string, text string) []string
 }
 
 // WordTokenizer splits on Unicode whitespace, lowercases, and strips leading
@@ -161,21 +176,78 @@ type WordTokenizer struct {
 	KeepCase bool
 }
 
-// Tokenize implements Tokenizer.
-func (w WordTokenizer) Tokenize(text string) []string {
-	fields := strings.FieldsFunc(text, unicode.IsSpace)
-	out := fields[:0]
-	for _, f := range fields {
-		f = strings.TrimFunc(f, unicode.IsPunct)
-		if f == "" {
+// asciiSpace and asciiPunct classify single-byte runes for WordTokenizer.
+// They are filled from the unicode predicates the tokenizer applies to
+// every other rune, so the two paths cannot disagree.
+var asciiSpace, asciiPunct [utf8.RuneSelf]bool
+
+func init() {
+	for c := rune(0); c < utf8.RuneSelf; c++ {
+		asciiSpace[c] = unicode.IsSpace(c)
+		asciiPunct[c] = unicode.IsPunct(c)
+	}
+}
+
+// Tokenize implements Tokenizer. It makes one pass over text: a word is a
+// maximal run of non-space runes with its leading and trailing punctuation
+// removed. Words are substrings of text unless lowercasing changes them.
+func (w WordTokenizer) Tokenize(dst []string, text string) []string {
+	start := -1   // offset of the current word's first non-punctuation rune
+	fold := false // the current word has an upper-case or non-ASCII byte
+	for i := 0; i < len(text); {
+		c := text[i]
+		n := 1
+		var space, punct bool
+		if c < utf8.RuneSelf {
+			space, punct = asciiSpace[c], asciiPunct[c]
+			fold = fold || 'A' <= c && c <= 'Z'
+		} else {
+			var r rune
+			r, n = utf8.DecodeRuneInString(text[i:])
+			space = unicode.IsSpace(r)
+			punct = !space && unicode.IsPunct(r)
+			fold = true
+		}
+		switch {
+		case space:
+			if start >= 0 {
+				dst = w.appendWord(dst, text[start:i], fold)
+			}
+			start, fold = -1, false
+		case start < 0 && !punct:
+			start = i
+		}
+		i += n
+	}
+	if start >= 0 {
+		dst = w.appendWord(dst, text[start:], fold)
+	}
+	return dst
+}
+
+// appendWord trims trailing punctuation from word, which starts with a
+// non-punctuation rune and so never trims to empty, and lowercases it when
+// fold says it may need it.
+func (w WordTokenizer) appendWord(dst []string, word string, fold bool) []string {
+	for {
+		c := word[len(word)-1]
+		if c < utf8.RuneSelf {
+			if !asciiPunct[c] {
+				break
+			}
+			word = word[:len(word)-1]
 			continue
 		}
-		if !w.KeepCase {
-			f = strings.ToLower(f)
+		r, n := utf8.DecodeLastRuneInString(word)
+		if !unicode.IsPunct(r) {
+			break
 		}
-		out = append(out, f)
+		word = word[:len(word)-n]
 	}
-	return out
+	if fold && !w.KeepCase {
+		word = strings.ToLower(word)
+	}
+	return append(dst, word)
 }
 
 // QGramTokenizer produces overlapping character q-grams; it is the usual
@@ -189,7 +261,7 @@ type QGramTokenizer struct {
 }
 
 // Tokenize implements Tokenizer.
-func (q QGramTokenizer) Tokenize(text string) []string {
+func (q QGramTokenizer) Tokenize(dst []string, text string) []string {
 	if q.Q < 1 {
 		panic(fmt.Sprintf("tokens: QGramTokenizer.Q must be >= 1, got %d", q.Q))
 	}
@@ -202,16 +274,16 @@ func (q QGramTokenizer) Tokenize(text string) []string {
 		r = append(append(append([]rune{}, pad...), r...), pad...)
 	}
 	if len(r) == 0 {
-		return nil
+		return dst
 	}
 	if len(r) <= q.Q {
-		return []string{string(r)}
+		return append(dst, string(r))
 	}
-	out := make([]string, 0, len(r)-q.Q+1)
+	dst = slices.Grow(dst, len(r)-q.Q+1)
 	for i := 0; i+q.Q <= len(r); i++ {
-		out = append(out, string(r[i:i+q.Q]))
+		dst = append(dst, string(r[i:i+q.Q]))
 	}
-	return out
+	return dst
 }
 
 // Dedup sorts ranks ascending and removes duplicates in place, returning the

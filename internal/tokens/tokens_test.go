@@ -1,9 +1,11 @@
 package tokens
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -41,8 +43,9 @@ func TestDictionaryLookup(t *testing.T) {
 func TestObserveCountsDocumentFrequency(t *testing.T) {
 	d := NewDictionary()
 	a, b := d.Intern("a"), d.Intern("b")
-	d.Observe([]Token{a, b})
-	d.Observe([]Token{a})
+	d.Observe(a)
+	d.Observe(b)
+	d.Observe(a)
 	if f := d.Frequency(a); f != 2 {
 		t.Fatalf("freq(a): got %d want 2", f)
 	}
@@ -57,12 +60,12 @@ func TestOrderingRareTokensRankFirst(t *testing.T) {
 	rare := d.Intern("xylophone")
 	mid := d.Intern("data")
 	for i := 0; i < 10; i++ {
-		d.Observe([]Token{common})
+		d.Observe(common)
 	}
 	for i := 0; i < 3; i++ {
-		d.Observe([]Token{mid})
+		d.Observe(mid)
 	}
-	d.Observe([]Token{rare})
+	d.Observe(rare)
 	o := NewOrdering(d)
 	if !(o.RankOf(rare) < o.RankOf(mid) && o.RankOf(mid) < o.RankOf(common)) {
 		t.Fatalf("ordering wrong: rare=%d mid=%d common=%d",
@@ -107,7 +110,7 @@ func TestOrderingIsPermutationOfFrozenTokens(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		id := Token(rng.Intn(len(words)))
-		d.Observe([]Token{id})
+		d.Observe(id)
 	}
 	o := NewOrdering(d)
 	seen := make(map[Rank]bool)
@@ -136,7 +139,7 @@ func TestWordTokenizer(t *testing.T) {
 	}
 	var w WordTokenizer
 	for _, c := range cases {
-		got := w.Tokenize(c.in)
+		got := w.Tokenize(nil, c.in)
 		if len(got) == 0 && len(c.want) == 0 {
 			continue
 		}
@@ -148,7 +151,7 @@ func TestWordTokenizer(t *testing.T) {
 
 func TestWordTokenizerKeepCase(t *testing.T) {
 	w := WordTokenizer{KeepCase: true}
-	got := w.Tokenize("Hello World")
+	got := w.Tokenize(nil, "Hello World")
 	want := []string{"Hello", "World"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v want %v", got, want)
@@ -157,22 +160,22 @@ func TestWordTokenizerKeepCase(t *testing.T) {
 
 func TestQGramTokenizer(t *testing.T) {
 	q := QGramTokenizer{Q: 3}
-	got := q.Tokenize("abcd")
+	got := q.Tokenize(nil, "abcd")
 	want := []string{"abc", "bcd"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("3-grams of abcd: got %v want %v", got, want)
 	}
-	if short := q.Tokenize("ab"); !reflect.DeepEqual(short, []string{"ab"}) {
+	if short := q.Tokenize(nil, "ab"); !reflect.DeepEqual(short, []string{"ab"}) {
 		t.Fatalf("short string: got %v", short)
 	}
-	if empty := q.Tokenize(""); empty != nil {
+	if empty := q.Tokenize(nil, ""); empty != nil {
 		t.Fatalf("empty string: got %v", empty)
 	}
 }
 
 func TestQGramTokenizerPad(t *testing.T) {
 	q := QGramTokenizer{Q: 2, Pad: true}
-	got := q.Tokenize("ab")
+	got := q.Tokenize(nil, "ab")
 	want := []string{"#a", "ab", "b#"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("padded 2-grams: got %v want %v", got, want)
@@ -185,7 +188,7 @@ func TestQGramTokenizerPanicsOnBadQ(t *testing.T) {
 			t.Fatal("expected panic for Q=0")
 		}
 	}()
-	QGramTokenizer{Q: 0}.Tokenize("x")
+	QGramTokenizer{Q: 0}.Tokenize(nil, "x")
 }
 
 func TestDedup(t *testing.T) {
@@ -235,4 +238,28 @@ func TestDedupPropertySortedUnique(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+var benchWords []string
+
+// BenchmarkWordTokenizer splits ~100-word lowercase ASCII texts into a
+// reused destination slice, which must not allocate.
+func BenchmarkWordTokenizer(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	texts := make([]string, 64)
+	for i := range texts {
+		words := make([]string, 100)
+		for j := range words {
+			words[j] = fmt.Sprintf("w%d", int(rng.ExpFloat64()*300))
+		}
+		texts[i] = strings.Join(words, " ") + "."
+	}
+	var w WordTokenizer
+	dst := w.Tokenize(nil, texts[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = w.Tokenize(dst[:0], texts[i%len(texts)])
+	}
+	benchWords = dst
 }

@@ -210,13 +210,12 @@ func NewTextBiStream(cfg Config, tok Tokenization, sample []string) (*TextBiStre
 func (t *TextBiStream) add(text string, right bool) (uint64, []Match) {
 	r := t.builder.FromText(text)
 	// The builder and BiStream each assign sequential IDs from zero, so
-	// they stay in lock step; tokens come from the shared builder.
-	set := make([]uint32, len(r.Tokens))
-	copy(set, r.Tokens)
+	// they stay in lock step; tokens come from the shared builder, and
+	// BiStream copies the set it is given.
 	if right {
-		return t.bi.AddRight(set)
+		return t.bi.AddRight(r.Tokens)
 	}
-	return t.bi.AddLeft(set)
+	return t.bi.AddLeft(r.Tokens)
 }
 
 // AddLeft ingests one left-source text record and returns its matches
