@@ -51,14 +51,22 @@ type Member struct {
 // tuning moved the bitset cutoff in between (which changes only the
 // kernel picked, never an overlap).
 //
-// Field order is layout: the fields collectCandidates reads for every
-// posting (ID, live, lastSeen, minLen, maxLen) share the first cache line
-// with Union, and the flags are packed at the end so the struct stays at
-// 256 bytes — the slab arena keeps a retired bundle alive until its whole
-// chunk has retired, so every added word shows up in the live heap.
+// Field order is layout: the fields collectCandidates touches for every
+// posting (ID, live, refs, lastSeen, minLen, maxLen) share the first
+// cache line with Union — compacting a stale posting reads live and
+// writes refs of a bundle that retired long ago, so they share a word —
+// and the flags are packed at the end so the struct stays at 256 bytes.
+// The arena reuses a retired bundle once no posting list reaches it, so
+// the bundles in the heap track the live window plus the retired ones
+// that still have stale postings; every added word is paid for each of
+// them.
 type Bundle struct {
 	ID   uint64
-	live int
+	live int32
+	// refs counts the posting-list entries that point at this bundle. A
+	// retired bundle goes back to the arena when it drops to zero (see
+	// Index.dropRef); until then a stale posting may still reach it.
+	refs int32
 	// lastSeen is the probe sequence number of the last collectCandidates
 	// call that visited this bundle — the per-probe dedup stamp that
 	// replaced the old seen map (an epoch check beats a map insert per
@@ -103,7 +111,7 @@ func (b *Bundle) hasPosted(tok tokens.Rank) bool {
 }
 
 // Live reports the number of unevicted members.
-func (b *Bundle) Live() int { return b.live }
+func (b *Bundle) Live() int { return int(b.live) }
 
 // MinLen and MaxLen return the live member length extremes; both return 0
 // when the bundle is empty.
@@ -278,11 +286,13 @@ func (b *Bundle) unionAdd(t []tokens.Rank) {
 // caller already computed it for the grouping check, so add reuses it
 // instead of re-merging; it may alias caller scratch (add copies before
 // keeping it) and is ignored for the first member. Members and deltas come
-// out of al's slabs, and every token set whose slice changed gets its
-// cached bitset form rebuilt under kern. add returns the tokens of r's
-// prefix that were not yet posted for this bundle so the caller can extend
-// the posting lists.
-func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, prefixLen int, newCore []tokens.Rank) (newPostings []tokens.Rank) {
+// out of al, and every token set whose slice changed gets its cached
+// bitset form rebuilt under kern. add appends the tokens of r's prefix
+// that were not yet posted for this bundle to posts (caller-owned
+// scratch, truncated first) and returns it, so the caller can extend the
+// posting lists.
+func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, prefixLen int, newCore, posts []tokens.Rank) (newPostings []tokens.Rank) {
+	newPostings = posts[:0]
 	if b.live == 0 {
 		// Records are immutable, so a singleton bundle can alias the
 		// record's token slice; every later mutation path copies before
@@ -336,8 +346,8 @@ func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, 
 		}
 	}
 	b.live++
-	if b.live > b.peak {
-		b.peak = b.live
+	if int(b.live) > b.peak {
+		b.peak = int(b.live)
 	}
 	for i := 0; i < prefixLen && i < r.Len(); i++ {
 		tok := r.Tokens[i]
@@ -386,15 +396,6 @@ func (b *Bundle) removeDead(kern similarity.KernelConfig) {
 		b.peak = w
 		packIf(kern, &b.unionP, &b.unionOK, b.Union)
 	}
-}
-
-// release drops the token sets, member list and packed forms of a bundle
-// whose last member has been evicted. Nothing reads them again: probes
-// skip a bundle with no live members and no insertion targets one.
-func (b *Bundle) release() {
-	b.Core, b.Union, b.Members, b.posted = nil, nil, nil, nil
-	b.coreP, b.unionP = similarity.Packed{}, similarity.Packed{}
-	b.coreOK, b.unionOK, b.unionOwned = false, false, false
 }
 
 func min(a, b int) int {

@@ -84,7 +84,7 @@ func addRec(b *Bundle, r *record.Record, prefixLen int) []tokens.Rank {
 		newCore = intersect(b.Core, r.Tokens)
 	}
 	var al alloc
-	return b.add(&al, similarity.KernelConfig{}.WithDefaults(), r, prefixLen, newCore)
+	return b.add(&al, similarity.KernelConfig{}.WithDefaults(), r, prefixLen, newCore, nil)
 }
 
 func TestBundleAddMaintainsInvariants(t *testing.T) {

@@ -148,8 +148,12 @@ type Index struct {
 	// beats pooling here; pooled buffers cover the shared helpers in
 	// Bundle.add).
 	trial []tokens.Rank
-	// al slab-allocates members, bundles and deltas on the insert path.
+	// al hands out members, bundles, deltas and posting lists on the
+	// insert path, recycling what the window retired.
 	al alloc
+	// newPosts is insert-path scratch for the tokens Bundle.add reports
+	// as newly posted.
+	newPosts []tokens.Rank
 
 	// root anchors the filter-and-verification tree; nil in collect mode
 	// (auto maintains both structures). tw and frontier are the serial
@@ -306,6 +310,9 @@ func (bx *Index) Evict(nowSeq record.ID, nowTime int64) {
 		}
 		bx.fifo[bx.head] = fifoEntry{}
 		bx.head++
+		// The bundle, the tree and the fifo have all let go of the
+		// member, so the next insert may reuse it.
+		bx.al.freeMember(fe.m)
 		bx.stats.Evicted++
 	}
 	if bx.deadPosts >= sweepMinDead && 2*bx.deadPosts > bx.stats.Postings {
@@ -417,6 +424,7 @@ func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 				bx.stats.DeadPostSkips++
 				bx.stats.Postings--
 				bx.deadPosts--
+				bx.dropRef(b)
 				continue // compact dead bundle posting
 			}
 			list[w] = b
@@ -435,6 +443,7 @@ func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 		}
 		if w == 0 {
 			delete(bx.posts, tok)
+			bx.al.keepList(list)
 		} else if w != len(list) {
 			clear(list[w:])
 			bx.posts[tok] = list[:w]
@@ -450,13 +459,24 @@ const sweepMinDead = 1024
 
 // retire accounts for a bundle whose last member just left the window:
 // its posting entries are dead from now on, and it lets go of everything
-// it points at, since a dead posting or a live neighbour in its slab
-// chunk can keep the Bundle itself reachable for a while.
+// it points at, since a dead posting can keep the Bundle itself reachable
+// until a probe or a sweep compacts it. A bundle no posting reaches (pure
+// tree mode keeps no lists) goes straight back to the arena.
 func (bx *Index) retire(b *Bundle) {
-	if bx.cfg.VerifyMode != VerifyTree {
-		bx.deadPosts += uint64(len(b.posted))
+	bx.deadPosts += uint64(b.refs)
+	bx.al.release(b)
+	if b.refs == 0 {
+		bx.al.freeBundle(b)
 	}
-	b.release()
+}
+
+// dropRef accounts for one dead posting entry of b that compaction just
+// dropped; the last one hands b back to the arena.
+func (bx *Index) dropRef(b *Bundle) {
+	b.refs--
+	if b.refs == 0 {
+		bx.al.freeBundle(b)
+	}
 }
 
 // sweepPosts drops every dead entry from every posting list.
@@ -464,8 +484,8 @@ func (bx *Index) retire(b *Bundle) {
 // the sweep a token that never shows up in a probe prefix again — the
 // long tail of the vocabulary, or every token while auto mode probes
 // through the tree — would pin its dead bundles, and through them their
-// slab chunks, for the life of the index: the live heap would grow with
-// the stream instead of with the window. Evict sweeps once dead entries
+// memory, for the life of the index: the live heap would grow with the
+// stream instead of with the window. Evict sweeps once dead entries
 // outnumber live ones, so each sweep is paid for by the bundle deaths
 // since the last one and the lists stay within twice their live size.
 // Compaction keeps list order, so probes see the same candidates.
@@ -476,6 +496,8 @@ func (bx *Index) sweepPosts() {
 			if b.live != 0 {
 				list[w] = b
 				w++
+			} else {
+				bx.dropRef(b)
 			}
 		}
 		if w == len(list) {
@@ -486,6 +508,7 @@ func (bx *Index) sweepPosts() {
 		bx.stats.Postings -= dropped
 		if w == 0 {
 			delete(bx.posts, tok)
+			bx.al.keepList(list)
 		} else {
 			clear(list[w:])
 			bx.posts[tok] = list[:w]
@@ -729,7 +752,7 @@ func (bx *Index) Insert(r *record.Record, best Insertion) {
 	)
 	if best.Bundle != nil && best.Sim >= bx.cfg.GroupThreshold-1e-12 {
 		b := best.Bundle
-		if b.live < bx.cfg.MaxMembers {
+		if int(b.live) < bx.cfg.MaxMembers {
 			// Trial intersection in reused scratch: add() consumes it when
 			// the membership is accepted, so the merge runs exactly once
 			// and the rejected case allocates nothing.
@@ -753,14 +776,20 @@ func (bx *Index) Insert(r *record.Record, best Insertion) {
 	} else {
 		bx.stats.Appends++
 	}
-	newPosts := target.add(&bx.al, bx.cfg.Kernel, r, p, newCore)
+	newPosts := target.add(&bx.al, bx.cfg.Kernel, r, p, newCore, bx.newPosts)
+	bx.newPosts = newPosts
 	if bx.cfg.VerifyMode != VerifyTree {
 		// Pure tree mode never reads posting lists — and never compacts
 		// them (compaction lives in collectCandidates), so extending them
 		// would leak dead postings. Auto maintains both structures.
 		for _, tok := range newPosts {
-			bx.posts[tok] = append(bx.posts[tok], target)
+			list, have := bx.posts[tok]
+			if !have {
+				list = bx.al.postingList()
+			}
+			bx.posts[tok] = append(list, target)
 		}
+		target.refs += int32(len(newPosts))
 		bx.stats.Postings += uint64(len(newPosts))
 	}
 	if bx.maintainTree() {

@@ -40,7 +40,7 @@ func checkProbeFields(t *testing.T, bx *Index, step int) (rebuilt int) {
 				hi = l
 			}
 		}
-		if live != b.live || len(b.Members) != b.live {
+		if live != b.Live() || len(b.Members) != b.Live() {
 			t.Fatalf("step %d bundle %d: live=%d, %d members, %d alive", step, b.ID, b.live, len(b.Members), live)
 		}
 		if b.MinLen() != lo || b.MaxLen() != hi {
@@ -113,15 +113,15 @@ func TestProbeFieldInvariants(t *testing.T) {
 	}
 }
 
-// TestBundleLayout guards the Bundle footprint. The slab arena carves
-// bundles out of 128-slot chunks and a chunk stays alive while any bundle
-// in it does, so retired bundles are held alongside the live ones and
-// each word added here shows up directly in the live heap on short-record
-// streams such as AOL.
+// TestBundleLayout guards the Bundle footprint. The arena reuses a
+// retired bundle once no posting list reaches it, so the heap holds one
+// Bundle per live bundle plus one per retired bundle still waiting for
+// its stale postings to be compacted, and each word added here shows up
+// directly in the live heap on short-record streams such as AOL.
 func TestBundleLayout(t *testing.T) {
 	if sz := unsafe.Sizeof(Bundle{}); sz > 256 {
-		t.Fatalf("Bundle is %d bytes, over 256: the slab arena retains retired bundles with their chunk, "+
-			"so growth inflates the live heap; pack new fields into existing padding", sz)
+		t.Fatalf("Bundle is %d bytes, over 256: every live bundle and every retired one awaiting reuse "+
+			"carries the growth into the live heap; pack new fields into existing padding", sz)
 	}
 }
 

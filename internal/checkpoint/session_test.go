@@ -14,8 +14,8 @@ import (
 	"repro/internal/record"
 	"repro/internal/similarity"
 	"repro/internal/tokens"
-	"repro/internal/wire"
 	"repro/internal/window"
+	"repro/internal/wire"
 )
 
 func sessionJoiner(t *testing.T) local.Joiner {

@@ -484,9 +484,9 @@ func HistogramQuantile(buckets []ParsedSample, q float64) float64 {
 // count/mean and the headline quantiles in microseconds — the shape BENCH
 // artifacts want — instead of raw buckets.
 type SampleSnapshot struct {
-	Label string  `json:"label,omitempty"`
-	Value float64 `json:"value,omitempty"`
-	Count uint64  `json:"count,omitempty"`
+	Label  string  `json:"label,omitempty"`
+	Value  float64 `json:"value,omitempty"`
+	Count  uint64  `json:"count,omitempty"`
 	MeanUs float64 `json:"mean_us,omitempty"`
 	P50Us  float64 `json:"p50_us,omitempty"`
 	P99Us  float64 `json:"p99_us,omitempty"`

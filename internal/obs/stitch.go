@@ -53,14 +53,14 @@ type Stitcher struct {
 	mu       sync.Mutex
 	capacity int
 
-	roots     map[uint64]TraceSnapshot            // guarded by mu
-	rootOrder []uint64                            // guarded by mu; FIFO ring
-	rootNext  int                                 // guarded by mu
+	roots     map[uint64]TraceSnapshot               // guarded by mu
+	rootOrder []uint64                               // guarded by mu; FIFO ring
+	rootNext  int                                    // guarded by mu
 	frags     map[uint64]map[string]FragmentSnapshot // guarded by mu; ids with roots
 	pending   map[uint64]map[string]FragmentSnapshot // guarded by mu; ids without roots
-	pendOrder []uint64                            // guarded by mu; FIFO ring
-	pendNext  int                                 // guarded by mu
-	evicted   uint64                              // guarded by mu
+	pendOrder []uint64                               // guarded by mu; FIFO ring
+	pendNext  int                                    // guarded by mu
+	evicted   uint64                                 // guarded by mu
 }
 
 // NewStitcher returns a stitcher retaining the most recent capacity root
@@ -213,13 +213,13 @@ func stitchOne(root TraceSnapshot, frags map[string]FragmentSnapshot) StitchedTr
 				parent = -1
 			}
 			st.Spans = append(st.Spans, SpanSnapshot{
-				Stage:     sp.Stage,
-				Component: sp.Component,
-				Task:      sp.Task,
-				Parent:    parent,
-				StartUs:   float64(sp.StartUnixNs-root.StartUnixNs) / 1e3,
+				Stage:      sp.Stage,
+				Component:  sp.Component,
+				Task:       sp.Task,
+				Parent:     parent,
+				StartUs:    float64(sp.StartUnixNs-root.StartUnixNs) / 1e3,
 				DurationUs: sp.DurationUs,
-				Origin:    src,
+				Origin:     src,
 			})
 		}
 	}

@@ -159,7 +159,7 @@ func TestStitchRootEvictionDropsFragments(t *testing.T) {
 
 func TestStitchBadWireParentClamped(t *testing.T) {
 	s := NewStitcher(4)
-	s.AddRoot(testRoot(5, 0, 1)) // root has exactly 1 span
+	s.AddRoot(testRoot(5, 0, 1))       // root has exactly 1 span
 	s.AddFragment("w0", testFrag(5, 7, // wire parent beyond the root
 		FragSpanSnapshot{Stage: "q", Component: "w", Parent: -1}))
 	tr := s.Snapshot().Traces[0]

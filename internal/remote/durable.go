@@ -174,8 +174,10 @@ func (ds *durableState) seedResults(coll *ftCollector) (int, error) {
 	}
 }
 
-func decodeRecordFrame(payload []byte) (*record.Record, error) {
-	rd := wire.NewReader(bytes.NewReader(payload))
+// decodeRecordFrame decodes one ingest-log payload with rd, which the
+// caller reuses across payloads so the decoded records share its slabs.
+func decodeRecordFrame(rd *wire.Reader, payload []byte) (*record.Record, error) {
+	rd.Reset(bytes.NewReader(payload))
 	typ, err := rd.Next()
 	if err != nil {
 		return nil, fmt.Errorf("remote: ingest log frame: %w", err)
@@ -220,6 +222,7 @@ func ReadIngestLog(stateDir string) ([]*record.Record, error) {
 	}
 	defer it.Close()
 	var out []*record.Record
+	rd := wire.NewReader(nil)
 	for {
 		_, payload, err := it.Next()
 		if errors.Is(err, io.EOF) {
@@ -228,7 +231,7 @@ func ReadIngestLog(stateDir string) ([]*record.Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("remote: replaying ingest log: %w", err)
 		}
-		r, err := decodeRecordFrame(payload)
+		r, err := decodeRecordFrame(rd, payload)
 		if err != nil {
 			return nil, err
 		}

@@ -859,8 +859,8 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 	ping := time.NewTicker(f.hbInterval)
 	defer ping.Stop()
 	eofSent := false
-	var credited uint64  // result credits granted on this connection
-	toldPaused := false  // coordinator-side pause state the worker was told
+	var credited uint64 // result credits granted on this connection
+	toldPaused := false // coordinator-side pause state the worker was told
 	for {
 		f.st.mu.Lock()
 		if f.st.epoch[task] != epoch {

@@ -346,41 +346,42 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	// merges parallel-verifier results on the calling goroutine, so the
 	// counter needs no synchronization.
 	var emitted uint64
-	emit := func(r *record.Record) func(local.Match) {
-		return func(m local.Match) {
-			if writeErr != nil {
-				return
-			}
-			if !strat.Emits(r, m.Rec, task, workers) {
-				return
-			}
-			a, b := r.ID, m.Rec.ID
-			if a > b {
-				a, b = b, a
-			}
+	// cur is the record being joined; the one emit closure reads it, so
+	// the record loop builds no closure per record.
+	var cur *record.Record
+	emit := func(m local.Match) {
+		if writeErr != nil {
+			return
+		}
+		if !strat.Emits(cur, m.Rec, task, workers) {
+			return
+		}
+		a, b := cur.ID, m.Rec.ID
+		if a > b {
+			a, b = b, a
+		}
+		if mon != nil {
+			mon.ResultsEmitted.Add(1)
+		}
+		emitted++
+		res := wire.Result{A: a, B: b, Sim: m.Sim}
+		writeErr = wr.WriteResult(res)
+		if h.Durable {
+			unacked = append(unacked, res)
 			if mon != nil {
-				mon.ResultsEmitted.Add(1)
+				mon.UnackedResults.Add(1)
 			}
-			emitted++
-			res := wire.Result{A: a, B: b, Sim: m.Sim}
-			writeErr = wr.WriteResult(res)
-			if h.Durable {
-				unacked = append(unacked, res)
+			if v4 && !selfPaused && len(unacked) >= unackedPauseHigh {
+				// Ask the coordinator to hold records until the credit
+				// stream drains the buffer below the low watermark.
+				selfPaused = true
 				if mon != nil {
-					mon.UnackedResults.Add(1)
+					mon.PausedSessions.Add(1)
 				}
-				if v4 && !selfPaused && len(unacked) >= unackedPauseHigh {
-					// Ask the coordinator to hold records until the credit
-					// stream drains the buffer below the low watermark.
-					selfPaused = true
-					if mon != nil {
-						mon.PausedSessions.Add(1)
-					}
-					o.Journal.Append("flow_pause", comp,
-						fmt.Sprintf("session %016x paused the record stream: %d unacked results", h.SessionID, len(unacked)))
-					if werr := wr.WritePause(); werr != nil && writeErr == nil {
-						writeErr = werr
-					}
+				o.Journal.Append("flow_pause", comp,
+					fmt.Sprintf("session %016x paused the record stream: %d unacked results", h.SessionID, len(unacked)))
+				if werr := wr.WritePause(); werr != nil && writeErr == nil {
+					writeErr = werr
 				}
 			}
 		}
@@ -519,11 +520,13 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 					mon.InFlightRecords.Add(1)
 				}
 				eBefore := emitted
+				cur = rt.Rec
 				if bi != nil {
-					bi.StepSide(rt.Rec, rt.Right, rt.Store, emit(rt.Rec))
+					bi.StepSide(rt.Rec, rt.Right, rt.Store, emit)
 				} else {
-					joiner.Step(rt.Rec, rt.Store, emit(rt.Rec))
+					joiner.Step(rt.Rec, rt.Store, emit)
 				}
+				cur = nil
 				if mon != nil || traced {
 					stepEnd := time.Now()
 					if mon != nil {

@@ -38,6 +38,23 @@ type taskRun struct {
 	bolt     Bolt
 	spout    Spout
 	obs      *taskObs // nil unless the run has a registry attached
+
+	// em is the task's emitter; executed counts the input tuples the bolt
+	// ran since the last publish. Both belong to the task goroutine.
+	em       *emitter
+	executed uint64
+}
+
+// publish moves the task's producer-local counts into the shared
+// counters. It runs once per input batch, when an outbound batch ships,
+// on flush, and on the way out of run, so Report totals are exact and a
+// live scrape lags by at most one batch.
+func (t *taskRun) publish() {
+	if t.executed != 0 {
+		t.counters.Executed.Add(t.executed)
+		t.executed = 0
+	}
+	t.em.publish()
 }
 
 // edgeOut is one producer task's view of a downstream subscription. It owns
@@ -59,14 +76,19 @@ type edgeOut struct {
 	pressure []bool // per-destination watermark state
 	sampled  uint64 // shed-sampled: full-queue batches seen
 	spare    *batch // last shed batch, emptied, kept for reuse
+	// tuples and bytes count this producer's traffic since the last
+	// publish. The edge counters are shared by every producer of the
+	// edge, so adding to them per tuple made the producers contend for
+	// one cache line; they are updated per shipped batch instead.
+	tuples, bytes uint64
 }
 
 // send appends t to destination d's pending batch, shipping the batch when
-// it reaches batchSize.
+// it reaches batchSize, and reports whether it shipped one.
 //
 // hotpath: zero-alloc — one call per (tuple, destination); batches come
 // from the pool and items grow by amortized self-append only.
-func (o *edgeOut) send(d int, t Tuple, pool *sync.Pool) {
+func (o *edgeOut) send(d int, t Tuple, pool *sync.Pool) bool {
 	b := o.pending[d]
 	if b == nil {
 		if b = o.spare; b != nil {
@@ -80,15 +102,27 @@ func (o *edgeOut) send(d int, t Tuple, pool *sync.Pool) {
 		o.pending[d] = b
 	}
 	b.items = append(b.items, t)
-	if len(b.items) >= o.batchSize {
-		o.pending[d] = nil
-		o.counters.Batches.Add(1)
-		if o.adm == nil {
-			o.dests[d].in <- b
-		} else {
-			o.deliver(d, b)
-		}
+	if len(b.items) < o.batchSize {
+		return false
 	}
+	o.pending[d] = nil
+	o.counters.Batches.Add(1)
+	if o.adm == nil {
+		o.dests[d].in <- b
+	} else {
+		o.deliver(d, b)
+	}
+	return true
+}
+
+// publish adds the producer-local traffic counts to the edge counters.
+func (o *edgeOut) publish() {
+	if o.tuples == 0 {
+		return
+	}
+	o.counters.Tuples.Add(o.tuples)
+	o.counters.Bytes.Add(o.bytes)
+	o.tuples, o.bytes = 0, 0
 }
 
 // flush ships every non-empty pending batch. Call when the producer task
@@ -108,12 +142,14 @@ func (o *edgeOut) flush() {
 	}
 }
 
-// emitter implements Emitter for one producer task.
+// emitter implements Emitter for one producer task. emitted counts the
+// tuples emitted since the last publish.
 type emitter struct {
 	outs     []*edgeOut
 	counters *TaskCounters
 	buf      []int
 	pool     *sync.Pool
+	emitted  uint64
 }
 
 // Emit routes t on the default stream.
@@ -126,11 +162,12 @@ func (e *emitter) Emit(t Tuple) { e.EmitTo(DefaultStream, t) }
 // hotpath: zero-alloc — selection reuses e.buf, batching reuses pooled
 // batches; BenchmarkEmitPath pins the dynamic side of this contract.
 func (e *emitter) EmitTo(stream string, t Tuple) {
-	e.counters.Emitted.Add(1)
+	e.emitted++
 	// SizeBytes is computed lazily: only once a subscribed edge selects at
 	// least one destination. Emits to unsubscribed streams and selections
 	// that route nowhere skip both the size call and all counter updates.
 	size := -1
+	shipped := false
 	for _, out := range e.outs {
 		if out.stream != stream {
 			continue
@@ -143,19 +180,38 @@ func (e *emitter) EmitTo(stream string, t Tuple) {
 		if size < 0 {
 			size = t.SizeBytes()
 		}
-		out.counters.Tuples.Add(uint64(n))
-		out.counters.Bytes.Add(uint64(size) * uint64(n))
+		out.tuples += uint64(n)
+		out.bytes += uint64(size) * uint64(n)
 		for _, d := range e.buf {
-			out.send(d, t, e.pool)
+			if out.send(d, t, e.pool) {
+				shipped = true
+			}
 		}
+	}
+	if shipped {
+		e.publish()
 	}
 }
 
-// flush ships every pending batch on every edge of this producer.
+// publish adds the producer-local counts to the shared task and edge
+// counters.
+func (e *emitter) publish() {
+	if e.emitted != 0 {
+		e.counters.Emitted.Add(e.emitted)
+		e.emitted = 0
+	}
+	for _, out := range e.outs {
+		out.publish()
+	}
+}
+
+// flush ships every pending batch on every edge of this producer and
+// publishes its counts.
 func (e *emitter) flush() {
 	for _, out := range e.outs {
 		out.flush()
 	}
+	e.publish()
 }
 
 // done signals that one upstream producer of t finished; the last producer
@@ -341,10 +397,13 @@ func (p *panicRecorder) err() error {
 // of deadlocking. On a panic, tuples still sitting in pending batches are
 // dropped — the run already reports an error.
 func (t *taskRun) run() (err error) {
+	t.em = &emitter{outs: t.outs, counters: t.counters, pool: t.pool}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("task %s[%d] panicked: %v", t.comp.name, t.idx, r)
 		}
+		// Counts taken before a panic still reach the report.
+		t.publish()
 		// Always notify downstream — also on panic, or consumers wait
 		// forever. Drain our input so upstream producers can finish.
 		if t.in != nil {
@@ -372,7 +431,7 @@ func (t *taskRun) run() (err error) {
 // fill, is what guarantees delivery of the tail) and then notify
 // downstream.
 func (t *taskRun) loop() {
-	em := &emitter{outs: t.outs, counters: t.counters, pool: t.pool}
+	em := t.em
 	if t.spout != nil {
 		for {
 			tu, ok := t.spout.Next()
@@ -394,7 +453,7 @@ func (t *taskRun) loop() {
 				pstart = time.Now()
 			}
 			if batched {
-				t.counters.Executed.Add(uint64(len(b.items)))
+				t.executed += uint64(len(b.items))
 				bb.ExecuteBatch(b.items, em)
 				for i := range b.items {
 					b.items[i] = nil // drop refs so pooled batches don't pin tuples
@@ -402,12 +461,13 @@ func (t *taskRun) loop() {
 			} else {
 				for i, tu := range b.items {
 					b.items[i] = nil // drop the ref so pooled batches don't pin tuples
-					t.counters.Executed.Add(1)
+					t.executed++
 					t.bolt.Execute(tu, em)
 				}
 			}
 			b.items = b.items[:0]
 			t.pool.Put(b)
+			t.publish()
 			if t.obs != nil {
 				t.obs.process.Observe(time.Since(pstart))
 			}

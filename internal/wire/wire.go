@@ -31,9 +31,9 @@ import (
 // marker; the wirestate analyzer verifies that every declared role has a
 // matching arm in an annotated dispatch switch (or a wire-handled site).
 const (
-	TypeHello byte = iota + 1 // handled-by: worker
-	TypeRecord                // handled-by: worker
-	TypeResult                // handled-by: coordinator
+	TypeHello  byte = iota + 1 // handled-by: worker
+	TypeRecord                 // handled-by: worker
+	TypeResult                 // handled-by: coordinator
 	// TypeEOF ends the coordinator's record stream; payload-free, the
 	// worker reacts to the frame type alone. handled-by: worker
 	TypeEOF
@@ -430,12 +430,32 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 type Reader struct {
 	r   *bufio.Reader
 	buf []byte
+	// recs and ranks are the unused tails of the slabs ReadRecord decodes
+	// into: one heap allocation per recChunk records and per rankChunk
+	// ranks instead of two per record. A decoded record is never written
+	// again, and a slab becomes garbage with the last record carved from
+	// it.
+	recs  []record.Record
+	ranks []tokens.Rank
 }
+
+// Decode slab sizes. A record with more than rankChunk tokens gets a
+// token slice of its own.
+const (
+	recChunk  = 256
+	rankChunk = 8192
+)
 
 // NewReader wraps r.
 func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReaderSize(r, 64<<10)}
 }
+
+// Reset makes r read frames from src, discarding any buffered input. The
+// decode slabs are kept, so records decoded before and after a Reset
+// share them and a reader reused across many short inputs does not pay a
+// slab per input.
+func (r *Reader) Reset(src io.Reader) { r.r.Reset(src) }
 
 // Next reads the next frame, returning its type and leaving the payload
 // staged for the matching Read* call. io.EOF is returned at a clean
@@ -611,7 +631,11 @@ func (r *Reader) ReadCredit() (uint64, error) {
 	return p.uvarint()
 }
 
-// ReadRecord decodes a staged Record frame.
+// ReadRecord decodes a staged Record frame. The record and its tokens
+// are carved from the reader's slabs but belong to the caller: later
+// reads never touch them, and appending to Tokens copies (cap == len).
+// Slab refills amortize to no allocation per record
+// (BenchmarkReadRecord).
 func (r *Reader) ReadRecord() (Record, error) {
 	p := payload{b: r.buf}
 	st, err := p.byte()
@@ -633,7 +657,18 @@ func (r *Reader) ReadRecord() (Record, error) {
 	if n > MaxFrame {
 		return Record{}, fmt.Errorf("wire: absurd token count %d", n)
 	}
-	toks := make([]tokens.Rank, n)
+	var toks []tokens.Rank
+	switch {
+	case n > rankChunk:
+		toks = make([]tokens.Rank, n)
+	case uint64(len(r.ranks)) < n:
+		r.ranks = make([]tokens.Rank, rankChunk)
+		fallthrough
+	default:
+		// Three-index slice: cap == len, so an append to one record's
+		// tokens can never write into the next record's.
+		toks = r.ranks[:n:n]
+	}
 	prev := uint64(0)
 	for i := range toks {
 		d, err := p.uvarint()
@@ -646,11 +681,7 @@ func (r *Reader) ReadRecord() (Record, error) {
 		}
 		toks[i] = tokens.Rank(prev)
 	}
-	rec := Record{
-		Store: st&1 != 0,
-		Right: st&2 != 0,
-		Rec:   &record.Record{ID: record.ID(id), Time: t, Tokens: toks},
-	}
+	rec := Record{Store: st&1 != 0, Right: st&2 != 0}
 	if st&4 != 0 {
 		if rec.TraceID, err = p.uvarint(); err != nil {
 			return Record{}, err
@@ -661,6 +692,18 @@ func (r *Reader) ReadRecord() (Record, error) {
 		}
 		rec.ParentSpan = int(ps)
 	}
+	// The frame decoded cleanly: only now do the ranks leave the slab, so
+	// a failed decode leaves nothing behind but scratch the next record
+	// overwrites.
+	if n <= rankChunk {
+		r.ranks = r.ranks[n:]
+	}
+	if len(r.recs) == 0 {
+		r.recs = make([]record.Record, recChunk)
+	}
+	rec.Rec = &r.recs[0]
+	r.recs = r.recs[1:]
+	*rec.Rec = record.Record{ID: record.ID(id), Time: t, Tokens: toks}
 	return rec, nil
 }
 
