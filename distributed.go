@@ -87,9 +87,11 @@ type DistributedConfig struct {
 	// CollectPairs returns every result pair in the summary; leave false
 	// for large runs and read Results instead.
 	CollectPairs bool
-	// BatchSize is the transport micro-batch size between pipeline stages:
-	// 0 uses the engine default, 1 ships every tuple individually (the
-	// pre-batching behaviour). Result pairs are identical at any value.
+	// BatchSize is the transport micro-batch size from dispatcher to
+	// workers: 0 uses the engine default, 1 ships every record
+	// individually (the pre-batching behaviour). Results travel in one
+	// block per worker input batch, shipped to the collector on its own.
+	// Result pairs are identical at any value.
 	BatchSize int
 	// Parallelism sizes each worker's verifier pool: P-1 helper goroutines
 	// per worker fan candidate verification out across cores (Bundle

@@ -129,6 +129,79 @@ func TestBatchCountersAndOccupancy(t *testing.T) {
 	}
 }
 
+// TestUnbatchedSubscription checks SubscribeToUnbatched: on that edge every
+// tuple is its own transport batch (Batches == Tuples), per-producer FIFO
+// holds, the tail and a bolt's Flush output are delivered on completion,
+// and the other edges of the same topology still batch at the topology's
+// batch size.
+func TestUnbatchedSubscription(t *testing.T) {
+	const perProducer, producers, bs = 203, 3, 8
+	tp := New("unbatched", 4, WithBatchSize(bs))
+	tp.AddSpout("src", func(task int) Spout {
+		return &taggedSpout{task: task, n: perProducer}
+	}, producers)
+	tp.AddBolt("ordered", func(int) Bolt { return &orderBolt{} }, 2).
+		SubscribeToUnbatched("src", Shuffle{})
+	tp.AddBolt("batched", func(int) Bolt { return &orderBolt{} }, 1).
+		SubscribeTo("src", Fields{Hash: func(Tuple) uint64 { return 0 }})
+	rep, err := tp.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = producers * perProducer
+	delivered := 0
+	for _, b := range rep.Bolts["ordered"] {
+		for prod, seqs := range b.(*orderBolt).got {
+			delivered += len(seqs)
+			for i := 1; i < len(seqs); i++ {
+				if seqs[i] <= seqs[i-1] {
+					t.Fatalf("producer %d out of order on the unbatched edge: %d after %d",
+						prod, seqs[i], seqs[i-1])
+				}
+			}
+		}
+	}
+	if delivered != total {
+		t.Fatalf("unbatched edge delivered %d tuples, want %d", delivered, total)
+	}
+	un := rep.Edges[EdgeKey{From: "src", To: "ordered"}]
+	if un.Tuples.Load() != total || un.Batches.Load() != total {
+		t.Fatalf("unbatched edge: %d tuples in %d batches, want %d in %d",
+			un.Tuples.Load(), un.Batches.Load(), total, total)
+	}
+	// Each producer ships full batches of bs to the one batched consumer
+	// and flushes its remainder once.
+	wantBatches := uint64(producers * ((perProducer + bs - 1) / bs))
+	if got := rep.EdgeBatches("src", "batched"); got != wantBatches {
+		t.Fatalf("batched edge: %d batches, want %d", got, wantBatches)
+	}
+	if got := len(rep.Bolts["batched"][0].(*orderBolt).got); got != producers {
+		t.Fatalf("batched consumer heard from %d producers, want %d", got, producers)
+	}
+
+	// A bolt's Flush output crosses an unbatched edge after the input
+	// closed, and the tail of a short stream is delivered.
+	for _, n := range []int{1, 7, 65} {
+		tp := New("unbatched-flush", 4, WithBatchSize(64))
+		tp.AddSpout("src", func(int) Spout { return &sliceSpout{vals: ints(n)} }, 1)
+		tp.AddBolt("sum", func(int) Bolt { return &sumFlushBolt{} }, 1).
+			SubscribeToUnbatched("src", Shuffle{})
+		tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 1).
+			SubscribeToUnbatched("sum", Shuffle{})
+		rep, err := tp.Run()
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		sink := rep.Bolts["sink"][0].(*collectBolt)
+		if want := n * (n - 1) / 2; len(sink.got) != 1 || sink.got[0] != want {
+			t.Fatalf("n=%d: flush output %v, want [%d]", n, sink.got, want)
+		}
+		if got := rep.EdgeBatches("src", "sum"); got != uint64(n) {
+			t.Fatalf("n=%d: %d batches on the unbatched input edge, want %d", n, got, n)
+		}
+	}
+}
+
 // TestWithQueueCapOption checks the option overrides the positional
 // argument and the topology still drains under a tiny queue.
 func TestWithQueueCapOption(t *testing.T) {
@@ -154,6 +227,7 @@ func TestWithQueueCapOption(t *testing.T) {
 // subscribed edge selects at least one destination: emits to unsubscribed
 // streams must not pay for size accounting.
 func TestLazySizeBytes(t *testing.T) {
+	sizeCalls.Reset() // the counter is package-level; -count>1 reruns the test
 	tp := New("lazysize", 4)
 	tp.AddSpout("src", func(int) Spout { return &sliceSpout{vals: ints(10)} }, 1)
 	tp.AddBolt("split", func(int) Bolt { return sizeCountingBolt{} }, 1).
@@ -207,6 +281,13 @@ type atomicCounter struct {
 func (c *atomicCounter) Add(d int64) {
 	c.mu.Lock()
 	c.n += d
+	c.mu.Unlock()
+}
+
+// Reset zeroes the counter.
+func (c *atomicCounter) Reset() {
+	c.mu.Lock()
+	c.n = 0
 	c.mu.Unlock()
 }
 

@@ -14,12 +14,17 @@ func (*ptrTuple) SizeBytes() int { return 8 }
 
 // BenchmarkEmitPath measures the steady-state cost of one EmitTo through a
 // batched edge with a live consumer: batching plus the pooled batches keep
-// it allocation-flat (~0 allocs/op).
+// it allocation-flat (~0 allocs/op). The unbatched case is an edge made by
+// SubscribeToUnbatched in a topology batching at 64: pooled batches of
+// capacity 64 that each ship one tuple.
 func BenchmarkEmitPath(b *testing.B) {
-	for _, bs := range []int{1, 64} {
-		b.Run(fmt.Sprintf("batch-%d", bs), func(b *testing.B) {
+	for _, c := range []struct {
+		name          string
+		poolCap, edge int
+	}{{"batch-1", 1, 1}, {"batch-64", 64, 64}, {"unbatched", 64, 1}} {
+		b.Run(c.name, func(b *testing.B) {
 			pool := &sync.Pool{New: func() interface{} {
-				return &batch{items: make([]Tuple, 0, bs)}
+				return &batch{items: make([]Tuple, 0, c.poolCap)}
 			}}
 			dest := &taskRun{in: make(chan *batch, 64), pool: pool}
 			var wg sync.WaitGroup
@@ -39,7 +44,7 @@ func BenchmarkEmitPath(b *testing.B) {
 				sel:       Shuffle{}.NewSelector(1),
 				dests:     []*taskRun{dest},
 				counters:  &EdgeCounters{},
-				batchSize: bs,
+				batchSize: c.edge,
 				pending:   make([]*batch, 1),
 			}
 			em := &emitter{outs: []*edgeOut{out}, counters: &TaskCounters{}, pool: pool}

@@ -299,13 +299,17 @@ func (tp *Topology) Run() (*Report, error) {
 			if streamName == "" {
 				streamName = DefaultStream
 			}
+			edgeBatch := batchSize
+			if in.unbatched {
+				edgeBatch = 1
+			}
 			for _, prod := range tasks[in.from] {
 				out := &edgeOut{
 					stream:    streamName,
 					sel:       in.grouping.NewSelector(len(dests)),
 					dests:     dests,
 					counters:  ec,
-					batchSize: batchSize,
+					batchSize: edgeBatch,
 					pending:   make([]*batch, len(dests)),
 				}
 				if adm != nil {

@@ -16,7 +16,10 @@
 // task completion guarantees every tuple is delivered, and per-(producer,
 // destination) FIFO order is preserved because batches fill and ship in
 // emit order. Queue capacity (WithQueueCap) counts batches, so the tuples
-// buffered per queue are roughly queueCap × batchSize.
+// buffered per queue are roughly queueCap × batchSize. A subscription made
+// with SubscribeToUnbatched opts its edge out: every tuple ships as its own
+// transport batch, for tuples that are already aggregates and must not wait
+// behind later ones.
 //
 // Per-edge tuple and byte counters model the cluster network: every tuple
 // crossing a component boundary is counted, which is how the experiments
@@ -207,6 +210,8 @@ type inputDecl struct {
 	from     string
 	stream   string
 	grouping Grouping
+	// unbatched ships every tuple on this edge as its own transport batch.
+	unbatched bool
 }
 
 type component struct {
@@ -282,11 +287,25 @@ func (c *ComponentRef) SubscribeTo(from string, g Grouping) *ComponentRef {
 
 // SubscribeToStream consumes a named output stream of component from.
 func (c *ComponentRef) SubscribeToStream(from, stream string, g Grouping) *ComponentRef {
+	return c.subscribe(inputDecl{from: from, stream: stream, grouping: g})
+}
+
+// SubscribeToUnbatched consumes the default output stream of component from
+// under grouping g, shipping every tuple as its own transport batch whatever
+// the topology's batch size. It suits producers whose tuples are already
+// aggregates (one tuple per input batch): on a batched edge such a tuple
+// would wait for batchSize-1 later ones before the consumer saw it. FIFO and
+// flush-on-completion hold as on any other edge.
+func (c *ComponentRef) SubscribeToUnbatched(from string, g Grouping) *ComponentRef {
+	return c.subscribe(inputDecl{from: from, stream: DefaultStream, grouping: g, unbatched: true})
+}
+
+func (c *ComponentRef) subscribe(in inputDecl) *ComponentRef {
 	if c.comp.spoutF != nil {
-		c.tp.err = fmt.Errorf("stream: spout %q cannot subscribe to %q", c.comp.name, from)
+		c.tp.err = fmt.Errorf("stream: spout %q cannot subscribe to %q", c.comp.name, in.from)
 		return c
 	}
-	c.comp.inputs = append(c.comp.inputs, inputDecl{from: from, stream: stream, grouping: g})
+	c.comp.inputs = append(c.comp.inputs, in)
 	return c
 }
 

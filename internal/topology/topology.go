@@ -61,23 +61,50 @@ func (s *recSlab) get() *RecTuple {
 	return rt
 }
 
-// ResultTuple carries one verified join pair from a worker to the sink. It
-// travels as a pointer recycled through resultPool: the sink returns each
-// tuple after reading it, so result-heavy joins do not allocate per pair.
+// ResultTuple is a result block: every verified join pair one worker
+// produced while executing one input batch (or one direct Execute call), in
+// emission order. Blocks travel as pointers recycled through resultPool: the
+// worker fills one per input batch and ships it once, the sink reads it and
+// returns it, so the result path pays one pool round trip and one transport
+// tuple per batch instead of one per pair.
 type ResultTuple struct {
-	Pair record.Pair
-	Enq  time.Time
-	// Trace and ParentSpan carry the sampled lineage (if any) from the
-	// worker that verified the pair to the sink; the sink clears both
-	// before recycling the tuple.
-	Trace      *obs.Trace
-	ParentSpan int
+	Pairs []record.Pair
+	// traced lists the pairs of the block whose lineage was sampled, so
+	// the sink can close each with a deliver span. Empty on the unsampled
+	// fast path.
+	traced []tracedPair
 }
 
-// SizeBytes implements stream.Tuple.
-func (*ResultTuple) SizeBytes() int { return 24 }
+// tracedPair is the sampled lineage (if any) of one pair in a block: the
+// trace and the worker's verify span the sink's deliver span hangs off.
+type tracedPair struct {
+	trace  *obs.Trace
+	parent int
+}
 
-// resultPool recycles ResultTuples between the worker bolts (Get) and the
+// SizeBytes implements stream.Tuple: 24 bytes per pair, so worker→sink
+// edge bytes are those of shipping each pair on its own.
+func (rt *ResultTuple) SizeBytes() int { return 24 * len(rt.Pairs) }
+
+// maxPooledPairs caps the pair capacity a recycled block keeps: a block
+// that grew past it (a batch of very match-heavy records) returns to the
+// pool without its slice, so one burst does not pin its peak size for the
+// rest of the run.
+const maxPooledPairs = 1024
+
+// reset empties the block for reuse. Trace references are cleared so
+// recycled blocks do not keep sampled lineages alive.
+func (rt *ResultTuple) reset() {
+	if cap(rt.Pairs) > maxPooledPairs {
+		rt.Pairs = nil
+	} else {
+		rt.Pairs = rt.Pairs[:0]
+	}
+	clear(rt.traced)
+	rt.traced = rt.traced[:0]
+}
+
+// resultPool recycles result blocks between the worker bolts (Get) and the
 // sink (Put). sync.Pool is internally synchronized, so concurrent workers
 // and the sink need no further locking.
 var resultPool = sync.Pool{New: func() interface{} { return new(ResultTuple) }}
@@ -101,6 +128,9 @@ type Config struct {
 	QueueCap int
 	// BatchSize is the transport micro-batch size: tuples accumulated per
 	// destination before a channel send (default 64; 1 disables batching).
+	// It batches the dispatcher→worker edges. Results are not batched by
+	// it: each worker gathers the pairs of one input batch into a single
+	// result block and ships that block to the sink at once.
 	BatchSize int
 	// CollectPairs keeps every result pair in memory (tests and small
 	// runs); otherwise the sink only counts.
@@ -299,10 +329,11 @@ type workerBolt struct {
 	// so the fields need no locking.
 	emitFn       func(local.Match)
 	curRec       *record.Record
-	curEnq       time.Time
 	curTrace     *obs.Trace
 	curQueueSpan int
-	curEm        stream.Emitter
+	// block gathers the pairs of the current input batch; nil until the
+	// batch's first result.
+	block *ResultTuple
 }
 
 // burn spins the CPU for roughly d, standing in for per-tuple network and
@@ -319,8 +350,36 @@ func burn(d time.Duration) {
 // Execute implements stream.Bolt: probe (always), store when the strategy
 // assigns the record here, and emit deduplicated results. With parallel
 // dispatchers the record first passes the reorder buffer so the joiner
-// always sees nondecreasing sequence numbers.
+// always sees nondecreasing sequence numbers. Called on its own, outside a
+// batch, it ships the record's results as one block.
 func (w *workerBolt) Execute(t stream.Tuple, em stream.Emitter) {
+	w.execute(t)
+	w.ship(em)
+}
+
+// ExecuteBatch implements stream.BatchBolt: a whole transport batch of
+// records streams through the worker in one call, in order, and their
+// results ship to the sink as one block after the batch. This is the
+// engine→pool handoff: the verifier pool sees back-to-back records
+// without a per-tuple trip through the executor loop, so its helpers
+// stay warm across a batch.
+func (w *workerBolt) ExecuteBatch(ts []stream.Tuple, em stream.Emitter) {
+	for _, t := range ts {
+		w.execute(t)
+	}
+	w.ship(em)
+}
+
+// Flush drains the reorder buffer at stream end and ships what it
+// produced.
+func (w *workerBolt) Flush(em stream.Emitter) {
+	if w.reorder != nil {
+		w.reorder.Flush(w.process)
+	}
+	w.ship(em)
+}
+
+func (w *workerBolt) execute(t stream.Tuple) {
 	rt := t.(*RecTuple)
 	if w.wirePerB > 0 {
 		d := time.Duration(w.wirePerB * rt.SizeBytes())
@@ -328,51 +387,45 @@ func (w *workerBolt) Execute(t stream.Tuple, em stream.Emitter) {
 		w.wireBurnt += d
 	}
 	if w.reorder != nil {
-		w.reorder.Push(rt, func(ordered *RecTuple) { w.process(ordered, em) })
+		w.reorder.Push(rt, w.process)
 		return
 	}
-	w.process(rt, em)
+	w.process(rt)
 }
 
-// ExecuteBatch implements stream.BatchBolt: a whole transport batch of
-// records streams through the worker in one call, in order. This is the
-// engine→pool handoff: the verifier pool sees back-to-back records
-// without a per-tuple trip through the executor loop, so its helpers
-// stay warm across a batch.
-func (w *workerBolt) ExecuteBatch(ts []stream.Tuple, em stream.Emitter) {
-	for _, t := range ts {
-		w.Execute(t, em)
+// ship emits the current result block, if it holds any pair.
+func (w *workerBolt) ship(em stream.Emitter) {
+	if w.block == nil {
+		return
 	}
-}
-
-// Flush drains the reorder buffer at stream end.
-func (w *workerBolt) Flush(em stream.Emitter) {
-	if w.reorder != nil {
-		w.reorder.Flush(func(ordered *RecTuple) { w.process(ordered, em) })
-	}
+	em.Emit(w.block)
+	w.block = nil
 }
 
 // emitMatch is the joiner's per-match callback: strategy arbitration, then
-// a pooled ResultTuple to the sink. It reads the record under probe from
-// the cur* fields process() binds, so the same bound method value serves
-// every record without a per-record closure allocation.
+// the pair joins the worker's current result block. It reads the record
+// under probe from the cur* fields process() binds, so the same bound
+// method value serves every record without a per-record closure
+// allocation.
 func (w *workerBolt) emitMatch(m local.Match) {
 	if !w.strat.Emits(w.curRec, m.Rec, w.task, w.k) {
 		return
 	}
 	w.results++
-	out := resultPool.Get().(*ResultTuple)
-	out.Pair = record.NewPair(w.curRec.ID, m.Rec.ID, m.Sim)
-	out.Enq = w.curEnq
+	b := w.block
+	if b == nil {
+		b = resultPool.Get().(*ResultTuple)
+		w.block = b
+	}
+	b.Pairs = append(b.Pairs, record.NewPair(w.curRec.ID, m.Rec.ID, m.Sim))
 	if w.curTrace != nil {
 		now := time.Now()
-		out.Trace = w.curTrace
-		out.ParentSpan = w.curTrace.Append("verify", "worker", w.task, w.curQueueSpan, now, now)
+		span := w.curTrace.Append("verify", "worker", w.task, w.curQueueSpan, now, now)
+		b.traced = append(b.traced, tracedPair{trace: w.curTrace, parent: span})
 	}
-	w.curEm.Emit(out)
 }
 
-func (w *workerBolt) process(rt *RecTuple, em stream.Emitter) {
+func (w *workerBolt) process(rt *RecTuple) {
 	r := rt.Rec
 	store := w.strat.Stores(r, w.task, w.k)
 	if store {
@@ -387,7 +440,7 @@ func (w *workerBolt) process(rt *RecTuple, em stream.Emitter) {
 		pstart = time.Now()
 		queueSpan = rt.Trace.Append("queue", "worker", w.task, parent, prev, pstart)
 	}
-	w.curRec, w.curEnq, w.curTrace, w.curQueueSpan, w.curEm = r, rt.Enq, rt.Trace, queueSpan, em
+	w.curRec, w.curTrace, w.curQueueSpan = r, rt.Trace, queueSpan
 	if w.bi != nil {
 		w.bi.StepSide(r, rt.Right, store, w.emitFn)
 	} else {
@@ -518,21 +571,23 @@ type sinkBolt struct {
 	pairs   []record.Pair
 }
 
-// Execute implements stream.Bolt: read the pair, then recycle the tuple.
-// Traced results get their terminal deliver span; the trace reference must
-// be cleared before pooling so recycled tuples do not resurrect lineages.
+// Execute implements stream.Bolt: read the block's pairs in order, then
+// recycle the block. Traced pairs get their terminal deliver span; reset
+// clears the trace references before pooling so recycled blocks do not
+// resurrect lineages.
 func (s *sinkBolt) Execute(t stream.Tuple, _ stream.Emitter) {
 	rt := t.(*ResultTuple)
-	s.count++
+	s.count += uint64(len(rt.Pairs))
 	if s.collect {
-		s.pairs = append(s.pairs, rt.Pair)
+		s.pairs = append(s.pairs, rt.Pairs...)
 	}
-	if rt.Trace != nil {
+	if len(rt.traced) > 0 {
 		now := time.Now()
-		rt.Trace.Append("deliver", "sink", 0, rt.ParentSpan, now, now)
-		rt.Trace = nil
-		rt.ParentSpan = 0
+		for _, tp := range rt.traced {
+			tp.trace.Append("deliver", "sink", 0, tp.parent, now, now)
+		}
 	}
+	rt.reset()
 	resultPool.Put(rt)
 }
 
@@ -684,9 +739,12 @@ func run(cfg Config, nrecs uint64, spoutF func(int) stream.Spout, bi bool, cur c
 		return w
 	}, k).SubscribeTo("dispatcher", routeGrouping)
 
+	// Result blocks are already batches (one per worker input batch), so
+	// the sink edge ships each on its own: no result waits behind later
+	// blocks for a transport batch to fill.
 	tp.AddBolt("sink", func(int) stream.Bolt {
 		return &sinkBolt{collect: cfg.CollectPairs}
-	}, 1).SubscribeTo("worker", stream.Shuffle{})
+	}, 1).SubscribeToUnbatched("worker", stream.Shuffle{})
 
 	rep, err := tp.Run()
 	if err != nil {
